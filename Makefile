@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint race fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
+.PHONY: all build test vet lint perfbench-vet race fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
 
 all: build vet test
 
@@ -20,6 +20,14 @@ lint:
 	else \
 		go run honnef.co/go/tools/cmd/staticcheck@2025.1 ./...; \
 	fi
+
+# perfbench is a nested module (its own go.mod, importing this one through
+# a replace directive), so `./...` above never compiles it. Build and vet it
+# explicitly: an API change in the program's packages must not leave the
+# benchmark unbuildable.
+perfbench-vet:
+	go build -C perfbench -o /dev/null ./...
+	go vet -C perfbench ./...
 
 # Tier-1 verification; `make race` is the concurrency-hardened variant of
 # the same suite (vet + race-enabled tests) and should be run alongside it
@@ -56,12 +64,12 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
 
 # Everything a change should pass before review: tier-1 build/vet/test,
-# staticcheck, the -race suite, the -race robustness battery, and bounded
-# fuzzing of the parsers — the same gates the CI workflow's blocking jobs
-# run (ci.yml: test, lint, race, fault), so a green `make check` predicts
-# a green CI run up to the long campaigns (cover/load-smoke/chaos/
-# cluster-smoke, which `make ci` adds).
-check: all lint race fault
+# staticcheck, the benchmark module's build and vet, the -race suite, the
+# -race robustness battery, and bounded fuzzing of the parsers — the same
+# gates the CI workflow's blocking jobs run (ci.yml: test, lint, race,
+# fault), so a green `make check` predicts a green CI run up to the long
+# campaigns (cover/load-smoke/chaos/cluster-smoke, which `make ci` adds).
+check: all lint perfbench-vet race fault
 	$(MAKE) fuzz FUZZTIME=5s
 
 bench:

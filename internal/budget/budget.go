@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -345,6 +346,77 @@ func (b *Budget) Usage() Usage {
 		u.Exhausted = e.Error()
 	}
 	return u
+}
+
+// Headroom is a snapshot of what a budget can still spend, per resource:
+// the least remaining allowance over the budget and its ancestors, and for
+// ResourceDeadline the time left. Singleflight caches compare headrooms to
+// tell whether a caller that joined an exhausted computation could have
+// finished it: only a caller with more room than the computation's leader
+// had is worth a second attempt.
+type Headroom struct {
+	// left holds deadline (ns), states, classes and refine steps, in
+	// that order; math.MaxInt64 means unlimited.
+	left [4]int64
+}
+
+func resourceIndex(resource string) int {
+	switch resource {
+	case ResourceDeadline:
+		return 0
+	case ResourceStates:
+		return 1
+	case ResourceClasses:
+		return 2
+	default:
+		return 3
+	}
+}
+
+// Headroom snapshots what b can still spend. A nil budget has unlimited
+// room; an exhausted one (at any level) has none.
+func (b *Budget) Headroom() Headroom {
+	h := Headroom{left: [4]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64}}
+	if b == nil {
+		return h
+	}
+	for p := b; p != nil; p = p.parent {
+		if p.exhausted.Load() != nil {
+			return Headroom{}
+		}
+		h.left[1] = min(h.left[1], remaining(p.limits.MaxStates, p.states.Load()))
+		h.left[2] = min(h.left[2], remaining(p.limits.MaxClasses, p.classes.Load()))
+		h.left[3] = min(h.left[3], remaining(p.limits.MaxRefineSteps, p.refines.Load()))
+	}
+	if !b.deadline.IsZero() {
+		h.left[0] = max(0, int64(time.Until(b.deadline)))
+	}
+	return h
+}
+
+func remaining(limit, used int64) int64 {
+	if limit <= 0 {
+		return math.MaxInt64
+	}
+	return max(0, limit-used)
+}
+
+// ContextHeadroom is the headroom of the budget attached to ctx, with the
+// time left also capped by ctx's own deadline.
+func ContextHeadroom(ctx context.Context) Headroom {
+	h := FromContext(ctx).Headroom()
+	if d, ok := ctx.Deadline(); ok {
+		h.left[0] = min(h.left[0], max(0, int64(time.Until(d))))
+	}
+	return h
+}
+
+// Exceeds reports whether h leaves strictly more of resource than o: a
+// computation that ran out of resource with o's room might finish with
+// h's, while one with no more room would only run out again.
+func (h Headroom) Exceeds(o Headroom, resource string) bool {
+	i := resourceIndex(resource)
+	return h.left[i] > o.left[i]
 }
 
 // Deadline returns the absolute cutoff and whether one is set.

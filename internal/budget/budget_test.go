@@ -119,6 +119,52 @@ func TestChildOwnCapAndDeadlineInheritance(t *testing.T) {
 	}
 }
 
+// TestHeadroom: headroom is the least remaining allowance over a budget
+// and its ancestors; only strictly more room in the named resource
+// exceeds, unlimited beats any cap, and an exhausted budget has none.
+func TestHeadroom(t *testing.T) {
+	fresh := New(Limits{MaxStates: 10}).Headroom()
+	used := New(Limits{MaxStates: 10})
+	_ = used.ChargeStates(4)
+	if !fresh.Exceeds(used.Headroom(), ResourceStates) || used.Headroom().Exceeds(fresh, ResourceStates) {
+		t.Error("a fresh cap of 10 must exceed one with 4 of 10 spent, not the reverse")
+	}
+	if New(Limits{MaxStates: 10}).Headroom().Exceeds(fresh, ResourceStates) {
+		t.Error("equal limits must not exceed each other")
+	}
+	var unlimited *Budget
+	if !unlimited.Headroom().Exceeds(fresh, ResourceStates) || fresh.Exceeds(unlimited.Headroom(), ResourceStates) {
+		t.Error("a nil budget must exceed any cap")
+	}
+	if fresh.Exceeds(New(Limits{MaxStates: 2}).Headroom(), ResourceClasses) {
+		t.Error("room in one resource must not count for another")
+	}
+
+	parent := New(Limits{MaxStates: 5})
+	_ = parent.ChargeStates(3)
+	child := parent.Child(Limits{MaxStates: 100})
+	if got := child.Headroom(); got.Exceeds(New(Limits{MaxStates: 2}).Headroom(), ResourceStates) {
+		t.Error("a child's room must be capped by its parent's remaining 2")
+	}
+
+	exhausted := New(Limits{MaxStates: 1})
+	_ = exhausted.ChargeStates(2)
+	if exhausted.Headroom().Exceeds(Headroom{}, ResourceClasses) {
+		t.Error("an exhausted budget has no room in any resource")
+	}
+
+	later := New(Limits{Deadline: time.Hour}).Headroom()
+	sooner := New(Limits{Deadline: time.Minute}).Headroom()
+	if !later.Exceeds(sooner, ResourceDeadline) || sooner.Exceeds(later, ResourceDeadline) {
+		t.Error("an hour left must exceed a minute left")
+	}
+	ctx, cancel := context.WithTimeout(NewContext(context.Background(), New(Limits{Deadline: time.Hour})), time.Second)
+	defer cancel()
+	if ContextHeadroom(ctx).Exceeds(sooner, ResourceDeadline) {
+		t.Error("a context deadline must cap the budget's time left")
+	}
+}
+
 func TestContextPlumbing(t *testing.T) {
 	b := New(Limits{MaxClasses: 1})
 	ctx := NewContext(context.Background(), b)

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"unicode"
 
@@ -202,10 +203,20 @@ func ParseDocument(input string) (*xmlmodel.Document, *DTD, error) {
 // internal subset, producing a self-contained valid XML document.
 func MarshalDocument(doc *xmlmodel.Document, d *DTD, indent int) string {
 	var b strings.Builder
-	if d != nil {
-		b.WriteString(d.String())
-		b.WriteByte('\n')
-	}
-	b.WriteString(xmlmodel.MarshalElement(doc.Root, indent))
+	WriteDocument(&b, doc, d, indent) // a strings.Builder never fails
 	return b.String()
+}
+
+// WriteDocument writes what MarshalDocument returns to w: the DTD (when
+// non-nil) as a DOCTYPE internal subset on its own line, then the root
+// element through xmlmodel.WriteElement — the Definition 2.4 form the
+// mediator serves every view answer in. It returns the first write error;
+// nothing is written to w after it.
+func WriteDocument(w io.Writer, doc *xmlmodel.Document, d *DTD, indent int) error {
+	if d != nil {
+		if _, err := io.WriteString(w, d.String()+"\n"); err != nil {
+			return err
+		}
+	}
+	return xmlmodel.WriteElement(w, doc.Root, indent)
 }

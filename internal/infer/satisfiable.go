@@ -270,30 +270,77 @@ var satCache = cache.New(DefaultSatisfiabilityCacheCapacity)
 // reach.
 var errVerdictUnknown = errors.New("infer: satisfiability verdict unknown")
 
+// unknownFlight is how a verdict flight's Unknown reaches the callers that
+// joined it: what ran out for the leader — a budget resource,
+// budget.ResourceDeadline for its context's deadline, or "canceled" — and
+// the headroom the leader had when it started. An empty cause means the
+// verdict is Unknown under any budget.
+type unknownFlight struct {
+	cause string
+	room  budget.Headroom
+}
+
+func (u *unknownFlight) Error() string { return errVerdictUnknown.Error() }
+func (u *unknownFlight) Unwrap() error { return errVerdictUnknown }
+
+// couldDecide reports whether a caller running under ctx might decide
+// where the flight's leader could not: its context is live and, for a
+// resource that ran out, it has more of it than the leader had.
+func (u *unknownFlight) couldDecide(ctx context.Context) bool {
+	switch {
+	case u.cause == "" || ctx.Err() != nil:
+		return false
+	case u.cause == "canceled":
+		return true
+	}
+	return budget.ContextHeadroom(ctx).Exceeds(u.room, u.cause)
+}
+
 // SatisfiabilityCached is Satisfiability through the process-wide verdict
 // cache, keyed on the query's condition skeleton (names, structure, text
 // and qualifier flags — not variables, text values or "!=" constraints,
 // which do not affect the verdict) and the DTD's content (regex.Key of
 // every model). Definitive verdicts are cached; Unknown never is. The
 // second result reports whether the verdict was served from cache.
+//
+// Concurrent callers of one key share a single computation, which runs
+// under the context (deadline, budget) of the caller that started it. An
+// Unknown from that computation is its leader's: a caller that joined the
+// flight decides again — leading or joining a new flight — only when its
+// own context has more room in what ran out for the leader, so callers
+// under equal limits share one computation and its Unknown.
 func SatisfiabilityCached(ctx context.Context, q *xmas.Query, src *dtd.DTD) (Verdict, bool) {
 	if q == nil || q.Root == nil || src == nil {
 		return VerdictUnknown, false
 	}
 	key := satisfiabilityKey(q, src)
-	computed := false
-	v, err := satCache.GetOrCompute(key, func() (any, error) {
-		computed = true
-		verdict := Satisfiability(ctx, q, src)
-		if verdict == VerdictUnknown {
-			return nil, errVerdictUnknown
+	for {
+		computed := false
+		v, err := satCache.GetOrCompute(key, func() (any, error) {
+			computed = true
+			room := budget.ContextHeadroom(ctx)
+			verdict := Satisfiability(ctx, q, src)
+			if verdict != VerdictUnknown {
+				return verdict, nil
+			}
+			u := &unknownFlight{room: room}
+			if ex := budget.FromContext(ctx).Exhausted(); ex != nil {
+				u.cause = ex.Resource
+			} else if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				u.cause = budget.ResourceDeadline
+			} else if ctx.Err() != nil {
+				u.cause = "canceled"
+			}
+			return nil, u
+		})
+		if err == nil {
+			return v.(Verdict), !computed
 		}
-		return verdict, nil
-	})
-	if err != nil {
-		return VerdictUnknown, false
+		var u *unknownFlight
+		if computed || !errors.As(err, &u) || !u.couldDecide(ctx) {
+			return VerdictUnknown, false
+		}
 	}
-	return v.(Verdict), !computed
 }
 
 // SatisfiabilityCacheStats snapshots the verdict cache's counters (the

@@ -3,7 +3,9 @@ package infer
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/budget"
@@ -288,6 +290,142 @@ func TestSatisfiabilityUnknownNotCached(t *testing.T) {
 	}
 	if hit {
 		t.Fatal("verdict cannot be a cache hit: Unknown must not have been cached")
+	}
+}
+
+// pausingObserver blocks the first successful budget charge it sees until
+// released: it holds a budgeted computation in the middle of its work.
+type pausingObserver struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (o *pausingObserver) BudgetCharge(string, int64) {
+	o.once.Do(func() {
+		close(o.entered)
+		<-o.release
+	})
+}
+
+func (o *pausingObserver) BudgetEvent(string, int64) {}
+
+// starvedVerdictFixture is a query whose verdict the fast tier cannot
+// decide, so the budgeted classifier runs; the unlimited run refines 15
+// AST nodes, and a MaxRefineSteps:8 budget lets the first charge succeed
+// (and pause) before it runs out.
+func starvedVerdictFixture(t *testing.T) (*xmas.Query, *dtd.DTD, Verdict) {
+	t.Helper()
+	PurgeSatisfiabilityCache()
+	ResetSatisfiabilityCacheStats()
+	d := dtd.New("root")
+	d.Declare("root", dtd.M(regex.Or(
+		regex.Cat(regex.Nm("a"), regex.Nm("a"), regex.Nm("b")),
+		regex.Nm("b"))))
+	d.Declare("a", dtd.PC())
+	d.Declare("b", dtd.PC())
+	q := xmas.MustParse("SELECT P WHERE <root><a id=X/>P:<a id=Y/></> AND X != Y")
+	want := Satisfiability(context.Background(), q, d)
+	if want == VerdictUnknown {
+		t.Fatal("fixture must have a definitive verdict under an unlimited budget")
+	}
+	return q, d, want
+}
+
+func starvedVerdictBudget() *budget.Budget {
+	return budget.New(budget.Limits{MaxRefineSteps: 8})
+}
+
+// startStarvedVerdict starts a verdict computation under a starved budget
+// and holds it inside the classifier, leading the flight. release lets
+// it run out; its verdict arrives on leader.
+func startStarvedVerdict(t *testing.T, q *xmas.Query, d *dtd.DTD) (leader <-chan Verdict, release func()) {
+	t.Helper()
+	starved := starvedVerdictBudget()
+	pause := &pausingObserver{entered: make(chan struct{}), release: make(chan struct{})}
+	starved.SetObserver(pause)
+	out := make(chan Verdict, 1)
+	go func() {
+		v, _ := SatisfiabilityCached(budget.NewContext(context.Background(), starved), q, d)
+		out <- v
+	}()
+	select {
+	case <-pause.entered:
+	case v := <-out:
+		t.Fatalf("starved leader answered %v without a successful budget charge to pause on", v)
+	}
+	return out, func() { close(pause.release) }
+}
+
+func waitVerdictDedups(n int64) {
+	for SatisfiabilityCacheStats().Dedups < n {
+		runtime.Gosched()
+	}
+}
+
+// TestSatisfiabilityJoinerDecidesUnderOwnBudget: a caller that joins a
+// verdict computation led by a starved caller must not inherit the
+// leader's Unknown. The starved leader is held inside the classifier
+// until an unbudgeted caller has joined its flight; the leader then runs
+// out and answers Unknown, and the joiner must still reach (and cache)
+// the definitive verdict on its first call.
+func TestSatisfiabilityJoinerDecidesUnderOwnBudget(t *testing.T) {
+	q, d, want := starvedVerdictFixture(t)
+	leader, release := startStarvedVerdict(t, q, d)
+	joined := make(chan Verdict, 1)
+	go func() {
+		v, _ := SatisfiabilityCached(context.Background(), q, d)
+		joined <- v
+	}()
+	waitVerdictDedups(1)
+	release()
+
+	if v := <-leader; v != VerdictUnknown {
+		t.Fatalf("starved leader's verdict = %v, want unknown", v)
+	}
+	if v := <-joined; v != want {
+		t.Fatalf("unbudgeted joiner's verdict = %v, want %v", v, want)
+	}
+	if v, hit := SatisfiabilityCached(context.Background(), q, d); v != want || !hit {
+		t.Errorf("after the joiner: verdict=%v hit=%v, want the cached %v", v, hit, want)
+	}
+}
+
+// TestSatisfiabilityEqualBudgetJoinersShareUnknown: callers under the
+// same limits as a starved leader would only run out again, so they share
+// its Unknown: N joiners cost no computation beyond the leader's, and
+// their budgets are never charged.
+func TestSatisfiabilityEqualBudgetJoinersShareUnknown(t *testing.T) {
+	const joiners = 4
+	q, d, _ := starvedVerdictFixture(t)
+	leader, release := startStarvedVerdict(t, q, d)
+	missesBefore := SatisfiabilityCacheStats().Misses
+	buds := make([]*budget.Budget, joiners)
+	joined := make(chan Verdict, joiners)
+	for i := range buds {
+		buds[i] = starvedVerdictBudget()
+		go func(bud *budget.Budget) {
+			v, _ := SatisfiabilityCached(budget.NewContext(context.Background(), bud), q, d)
+			joined <- v
+		}(buds[i])
+	}
+	waitVerdictDedups(joiners)
+	release()
+
+	if v := <-leader; v != VerdictUnknown {
+		t.Fatalf("starved leader's verdict = %v, want unknown", v)
+	}
+	for range joiners {
+		if v := <-joined; v != VerdictUnknown {
+			t.Errorf("equal-budget joiner's verdict = %v, want the leader's unknown", v)
+		}
+	}
+	if got := SatisfiabilityCacheStats().Misses; got != missesBefore {
+		t.Errorf("%d equal-budget joiners ran %d computations, want 0", joiners, got-missesBefore)
+	}
+	for i, bud := range buds {
+		if u := bud.Usage(); u.RefineSteps != 0 || u.States != 0 || u.Classes != 0 {
+			t.Errorf("joiner %d was charged %+v, want nothing", i, u)
+		}
 	}
 }
 

@@ -113,8 +113,12 @@ func (h *Handler) forwardView(w http.ResponseWriter, fwd *cluster.Forward, ctx c
 	}
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, fwd.SchemaText())
-	io.WriteString(w, xmlmodel.MarshalElement(doc.Root, 2))
+	// The owner's DTD text already ends in the newline that separates it
+	// from the root element. A write error means the client is gone.
+	if _, err := io.WriteString(w, fwd.SchemaText()); err != nil {
+		return
+	}
+	_ = xmlmodel.WriteElement(w, doc.Root, 2)
 }
 
 // forwardQuery answers POST /views/{name}/query for a non-owned view:
@@ -146,7 +150,7 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 	}
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, xmlmodel.MarshalElement(res.Root, 2))
+	_ = xmlmodel.WriteElement(w, res.Root, 2) // a write error means the client is gone
 }
 
 // forwardDTD answers GET /views/{name}/dtd with the owner's DTD text

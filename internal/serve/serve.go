@@ -229,7 +229,11 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	setDegradedHeaders(w, v, info)
 	setStaleHeader(w, info.StaleSources)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, mediatorMarshal(doc, v))
+	// The view DTD travels inline with the answer (Definition 2.4), so
+	// clients receive a valid, DTD-carrying document. A write error means
+	// the client is gone: the writer has stopped and no one is left to
+	// tell.
+	_ = dtd.WriteDocument(w, doc, v.DTD, 2)
 }
 
 // setStaleHeader advertises last-known-good parts on a view response:
@@ -262,16 +266,6 @@ func setDegradedHeaders(w http.ResponseWriter, v *mediator.View, info *mediator.
 	if info != nil && info.Degraded {
 		w.Header().Set("X-Mix-Degraded-Sources", strings.Join(info.DegradedSources, ","))
 	}
-}
-
-// mediatorMarshal inlines the inferred DTD so clients receive a valid
-// (DTD-carrying) document, per Definition 2.4.
-func mediatorMarshal(doc *xmlmodel.Document, v *mediator.View) string {
-	var b strings.Builder
-	b.WriteString(v.DTD.String())
-	b.WriteByte('\n')
-	b.WriteString(xmlmodel.MarshalElement(doc.Root, 2))
-	return b.String()
 }
 
 func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +408,7 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	setStaleHeader(w, stats.StaleSources)
-	io.WriteString(w, xmlmodel.MarshalElement(doc.Root, 2))
+	_ = xmlmodel.WriteElement(w, doc.Root, 2) // a write error means the client is gone
 }
 
 // postInfer is inference as a service: the request body is a DOCTYPE
