@@ -53,22 +53,25 @@ fault:
 		./internal/automata/... ./internal/serve/ ./internal/budget/ \
 		./internal/load/
 
-# Short, bounded runs of every fuzz target against the parsers. Each
-# target gets FUZZTIME (default 10s); crashes land in testdata/fuzz as
-# usual and should be committed as regression seeds.
+# Short, bounded runs of every fuzz target: the parsers, and the query
+# engine against its brute-force oracle. Each target gets FUZZTIME
+# (default 10s); crashes land in testdata/fuzz as usual and should be
+# committed as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseDocument$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseDTD$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
+	go test -run '^$$' -fuzz '^FuzzEvalAgreesWithReference$$' -fuzztime $(FUZZTIME) ./internal/engine/
 
 # Everything a change should pass before review: tier-1 build/vet/test,
 # staticcheck, the benchmark module's build and vet, the -race suite, the
-# -race robustness battery, and bounded fuzzing of the parsers — the same
-# gates the CI workflow's blocking jobs run (ci.yml: test, lint, race,
-# fault), so a green `make check` predicts a green CI run up to the long
-# campaigns (cover/load-smoke/chaos/cluster-smoke, which `make ci` adds).
+# -race robustness battery, and bounded fuzzing of the parsers and the
+# engine — the same gates the CI workflow's blocking jobs run (ci.yml:
+# test, lint, race, fault), so a green `make check` predicts a green CI
+# run up to the long campaigns (cover/load-smoke/chaos/cluster-smoke,
+# which `make ci` adds).
 check: all lint perfbench-vet race fault
 	$(MAKE) fuzz FUZZTIME=5s
 

@@ -21,7 +21,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
@@ -66,28 +66,9 @@ func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, e
 	if err != nil {
 		return nil, err
 	}
-	m := &matcher{q: q, feasible: map[feasKey]bool{}}
-	pickCond := path[len(path)-1]
-
-	// Enumerate candidate pick elements, order them by document position
-	// (depth-first, left-to-right — the grouping order of Section 2.1),
-	// then verify a full anchored embedding for each.
-	docPos := map[*xmlmodel.Element]int{}
-	pos := 0
-	doc.Root.Walk(func(e *xmlmodel.Element) bool { docPos[e] = pos; pos++; return true })
-	cands := dedupeInOrder(m.candidates(path, doc.Root))
-	sort.Slice(cands, func(i, j int) bool { return docPos[cands[i]] < docPos[cands[j]] })
-
-	var picks []*xmlmodel.Element
-	for _, cand := range cands {
-		m.anchorCond = pickCond
-		m.anchorElem = cand
-		env := &env{vars: map[string]*xmlmodel.Element{}, neq: q.Neq}
-		if m.embed(q.Root, doc.Root, env) {
-			picks = append(picks, cand)
-		}
-	}
-	return picks, nil
+	m := newMatcher(q, path)
+	m.eval(doc.Root)
+	return m.picks, nil
 }
 
 // Matches reports whether the query's condition embeds into the document at
@@ -105,69 +86,83 @@ type feasKey struct {
 	e *xmlmodel.Element
 }
 
+// matcher evaluates one query over one document. Its walk keeps the
+// current element's ancestor chain (chain, with each element's index among
+// its parent's children in at) and, on a stack, the indices into path of
+// the path conditions each chain element can match by name.
 type matcher struct {
-	q          *xmas.Query
-	anchorCond *xmas.Cond
-	anchorElem *xmlmodel.Element
-	// feasible caches structural matches ignoring anchors and !=
+	path   []*xmas.Cond
+	chain  []*xmlmodel.Element
+	at     []int
+	states []int
+	env    env
+	picks  []*xmlmodel.Element
+	// feasible caches structural matches ignoring the chain and !=
 	// constraints; it prunes the backtracking search.
 	feasible map[feasKey]bool
+	// embeds counts embedding attempts, for the complexity tests.
+	embeds int
 }
 
-// candidates walks the path conditions down the document and returns, in
-// document order, every element that could bind the pick-variable on
-// name-structure grounds alone (ancestor side conditions are verified later
-// by the anchored embedding).
-func (m *matcher) candidates(path []*xmas.Cond, root *xmlmodel.Element) []*xmlmodel.Element {
-	cur := []*xmlmodel.Element{}
-	if path[0].MatchesName(root.Name) {
-		cur = m.expandRecursive(path[0], root)
+func newMatcher(q *xmas.Query, path []*xmas.Cond) *matcher {
+	return &matcher{
+		path:     path,
+		env:      env{vars: map[string]*xmlmodel.Element{}, neq: q.Neq},
+		feasible: map[feasKey]bool{},
 	}
-	for _, step := range path[1:] {
-		var next []*xmlmodel.Element
-		for _, e := range cur {
-			for _, k := range e.Children {
-				if step.MatchesName(k.Name) {
-					next = append(next, m.expandRecursive(step, k)...)
-				}
+}
+
+// eval collects into m.picks every element the pick-variable binds to. One
+// preorder walk finds the candidates, in document order by construction:
+// the root can match path[0]; a child of an element that can match path[i]
+// can match path[i+1] if its name fits, and path[i] again if that step is
+// recursive. Each element that can match the pick condition is then
+// verified by a full embedding from the root along its own chain.
+func (m *matcher) eval(root *xmlmodel.Element) {
+	if m.path[0].MatchesName(root.Name) {
+		m.states = append(m.states, 0)
+		m.walk(root, 0, 0)
+	}
+}
+
+// walk visits e, the child at index pos of its parent, whose path
+// conditions are m.states[lo:] in ascending order.
+func (m *matcher) walk(e *xmlmodel.Element, pos, lo int) {
+	m.chain, m.at = append(m.chain, e), append(m.at, pos)
+	hi, last := len(m.states), len(m.path)-1
+	if m.states[hi-1] == last && m.verify() {
+		m.picks = append(m.picks, e)
+	}
+	for j, k := range e.Children {
+		for _, i := range m.states[lo:hi] {
+			if m.path[i].Recursive && m.path[i].MatchesName(k.Name) {
+				m.pushState(hi, i)
+			}
+			if i < last && m.path[i+1].MatchesName(k.Name) {
+				m.pushState(hi, i+1)
 			}
 		}
-		cur = dedupeInOrder(next)
-	}
-	return cur
-}
-
-// expandRecursive returns e itself for plain steps; for a recursive step it
-// returns every element reachable from e by a downward chain of elements
-// matching the step's names (including e), in document order.
-func (m *matcher) expandRecursive(step *xmas.Cond, e *xmlmodel.Element) []*xmlmodel.Element {
-	if !step.Recursive {
-		return []*xmlmodel.Element{e}
-	}
-	var out []*xmlmodel.Element
-	var walk func(x *xmlmodel.Element)
-	walk = func(x *xmlmodel.Element) {
-		out = append(out, x)
-		for _, k := range x.Children {
-			if step.MatchesName(k.Name) {
-				walk(k)
-			}
+		if len(m.states) > hi {
+			m.walk(k, j, hi)
+			m.states = m.states[:hi]
 		}
 	}
-	walk(e)
-	return out
+	m.chain, m.at = m.chain[:len(m.chain)-1], m.at[:len(m.at)-1]
 }
 
-func dedupeInOrder(es []*xmlmodel.Element) []*xmlmodel.Element {
-	seen := map[*xmlmodel.Element]bool{}
-	out := es[:0:0]
-	for _, e := range es {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
+// pushState adds i to the state set starting at m.states[lo]. States arrive
+// in non-decreasing order, so a duplicate can only repeat the last one.
+func (m *matcher) pushState(lo, i int) {
+	if n := len(m.states); n == lo || m.states[n-1] != i {
+		m.states = append(m.states, i)
 	}
-	return out
+}
+
+// verify reports whether the query embeds with the pick condition bound to
+// the last element of the chain.
+func (m *matcher) verify() bool {
+	clear(m.env.vars)
+	return m.embed(m.path[0], m.chain[0], 0, 0)
 }
 
 // env tracks variable bindings during an embedding attempt and checks the
@@ -200,30 +195,39 @@ func (v *env) unbind(name string) {
 }
 
 // embed attempts to match condition c at element e under the current
-// environment, with the anchored condition forced onto the anchored
-// element.
-func (m *matcher) embed(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if c == m.anchorCond && e != m.anchorElem {
-		return false
-	}
+// environment. A path condition (i >= 0, c is m.path[i]) matches only
+// along the candidate's chain, with e = m.chain[d]: each path condition
+// matches at a child of its parent condition's match (a recursive one
+// possibly further down a chain) and the pick lies at or below it, so its
+// match is an ancestor-or-self of the pick. Off-path conditions pass
+// i = -1 and may match anywhere.
+func (m *matcher) embed(c *xmas.Cond, e *xmlmodel.Element, i, d int) bool {
+	m.embeds++
 	if !m.structuralOK(c, e) {
 		return false
 	}
 	if c.Recursive {
-		return m.embedRecursiveCond(c, e, en)
+		return m.embedRecursiveCond(c, e, i, d)
 	}
-	return m.embedHere(c, e, en)
+	return m.embedHere(c, e, i, d)
 }
 
 // embedRecursiveCond matches a recursive condition: its subconditions hold
 // at e, or the condition re-embeds at a child of e with a matching name.
-// The anchor applies to the element where the subconditions finally hold.
-func (m *matcher) embedRecursiveCond(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if m.embedHere(c, e, en) {
+// The pick binds the element where the subconditions finally hold.
+func (m *matcher) embedRecursiveCond(c *xmas.Cond, e *xmlmodel.Element, i, d int) bool {
+	if m.embedHere(c, e, i, d) {
 		return true
 	}
-	for _, k := range e.Children {
-		if c.MatchesName(k.Name) && m.structuralOK(c, k) && m.embedRecursiveCond(c, k, en) {
+	kids, ki, kd := e.Children, -1, 0
+	if i >= 0 {
+		if d+1 == len(m.chain) {
+			return false
+		}
+		kids, ki, kd = m.chain[d+1:d+2], i, d+1
+	}
+	for _, k := range kids {
+		if c.MatchesName(k.Name) && m.structuralOK(c, k) && m.embedRecursiveCond(c, k, ki, kd) {
 			return true
 		}
 	}
@@ -232,13 +236,14 @@ func (m *matcher) embedRecursiveCond(c *xmas.Cond, e *xmlmodel.Element, en *env)
 
 // embedHere binds c's variables to e and matches c's subconditions against
 // distinct children of e.
-func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if c == m.anchorCond && e != m.anchorElem {
-		return false
+func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, i, d int) bool {
+	if i == len(m.path)-1 && d != len(m.chain)-1 {
+		return false // the pick condition binds only the candidate
 	}
 	if c.HasText {
 		return e.IsText && e.Text == c.Text
 	}
+	en := &m.env
 	if !en.bind(c.Var, e) {
 		en.unbind(c.Var)
 		return false
@@ -248,7 +253,8 @@ func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
 		en.unbind(c.IDVar)
 		return false
 	}
-	if m.assignChildren(c.Children, e.Children, 0, map[int]bool{}, en) {
+	var used [8]int
+	if m.assignChildren(c.Children, e, 0, used[:0], i, d) {
 		return true
 	}
 	en.unbind(c.Var)
@@ -257,36 +263,43 @@ func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
 }
 
 // assignChildren finds an injective assignment of the non-qualifier
-// conditions to the children, each assigned pair embedding successfully.
-// Qualifier conditions are existential: they must embed into some child
-// but do not consume it, so they never compete with siblings (or each
-// other) for a witness. They still take part in the backtracking so that
-// a variable bound under a qualifier can drive "!=" constraints.
-func (m *matcher) assignChildren(conds []*xmas.Cond, kids []*xmlmodel.Element, i int, used map[int]bool, en *env) bool {
-	if i == len(conds) {
+// conditions to the children of e (used holds the indices already taken),
+// each assigned pair embedding successfully. Qualifier conditions are
+// existential: they must embed into some child but do not consume it, so
+// they never compete with siblings (or each other) for a witness. They
+// still take part in the backtracking so that a variable bound under a
+// qualifier can drive "!=" constraints. When e is a path condition's match
+// (i >= 0), the next path condition is tried only against the next element
+// of the chain.
+func (m *matcher) assignChildren(conds []*xmas.Cond, e *xmlmodel.Element, n int, used []int, i, d int) bool {
+	if n == len(conds) {
 		return true
 	}
-	c := conds[i]
-	for j, k := range kids {
-		if !c.Qualifier && used[j] {
+	c := conds[n]
+	lo, hi, ci, cd := 0, len(e.Children), -1, 0
+	if i >= 0 && i+1 < len(m.path) && c == m.path[i+1] {
+		if d+1 == len(m.chain) {
+			return false
+		}
+		lo, ci, cd = m.at[d+1], i+1, d+1
+		hi = lo + 1
+	}
+	for j := lo; j < hi; j++ {
+		k := e.Children[j]
+		if (!c.Qualifier && slices.Contains(used, j)) || !c.MatchesName(k.Name) {
 			continue
 		}
-		if !m.quickName(c, k) {
-			continue
-		}
-		if m.embed(c, k, en) {
+		if m.embed(c, k, ci, cd) {
+			rest := used
 			if !c.Qualifier {
-				used[j] = true
+				rest = append(used, j)
 			}
-			if m.assignChildren(conds, kids, i+1, used, en) {
+			if m.assignChildren(conds, e, n+1, rest, i, d) {
 				return true
-			}
-			if !c.Qualifier {
-				used[j] = false
 			}
 			// embed left bindings in place on success only; on the failed
 			// continuation we must undo them.
-			m.unbindSubtree(c, en)
+			m.unbindSubtree(c)
 		}
 	}
 	return false
@@ -294,21 +307,13 @@ func (m *matcher) assignChildren(conds []*xmas.Cond, kids []*xmlmodel.Element, i
 
 // unbindSubtree clears every variable bound anywhere under c; used when
 // backtracking over a previously successful partial embedding.
-func (m *matcher) unbindSubtree(c *xmas.Cond, en *env) {
+func (m *matcher) unbindSubtree(c *xmas.Cond) {
 	for _, v := range c.Vars() {
-		delete(en.vars, v)
+		delete(m.env.vars, v)
 	}
 }
 
-// quickName is the cheapest pruning test.
-func (m *matcher) quickName(c *xmas.Cond, e *xmlmodel.Element) bool {
-	if c.Recursive {
-		return c.MatchesName(e.Name)
-	}
-	return c.MatchesName(e.Name)
-}
-
-// structuralOK reports whether c can match e ignoring variables, anchors
+// structuralOK reports whether c can match e ignoring variables, the chain
 // and != constraints — a necessary condition used to prune backtracking.
 // Results are memoized across the whole evaluation.
 func (m *matcher) structuralOK(c *xmas.Cond, e *xmlmodel.Element) bool {
@@ -353,10 +358,7 @@ func (m *matcher) structuralHere(c *xmas.Cond, e *xmlmodel.Element) bool {
 		}
 		cc := c.Children[i]
 		for j, k := range e.Children {
-			if (!cc.Qualifier && used[j]) || !cc.MatchesName(k.Name) {
-				continue
-			}
-			if !m.structuralMatchChild(cc, k) {
+			if (!cc.Qualifier && used[j]) || !m.structuralOK(cc, k) {
 				continue
 			}
 			if cc.Qualifier {
@@ -371,14 +373,4 @@ func (m *matcher) structuralHere(c *xmas.Cond, e *xmlmodel.Element) bool {
 		return false
 	}
 	return rec(0, map[int]bool{})
-}
-
-func (m *matcher) structuralMatchChild(c *xmas.Cond, e *xmlmodel.Element) bool {
-	if c.Recursive {
-		return m.structuralOK(c, e)
-	}
-	if !c.MatchesName(e.Name) {
-		return false
-	}
-	return m.structuralOK(c, e)
 }

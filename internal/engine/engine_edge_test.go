@@ -175,3 +175,65 @@ func TestQualifierSharesWitnessWithSibling(t *testing.T) {
 		t.Errorf("two regular conditions matched a single child: %v", distinct)
 	}
 }
+
+func TestRecursivePickBindsWhereItsConditionsHold(t *testing.T) {
+	// The recursive pick condition <a*> <b/> </a> enters the chain at the
+	// outer a but its subcondition holds only at the inner a, which is
+	// where the pick binds.
+	doc := parseDoc(t, `<c><a id="outer"><a id="inner"><b/></a></a></c>`)
+	ids := pickIDs(t, `v = SELECT X WHERE <c> X:<a*> <b/> </a> </c>`, doc)
+	if strings.Join(ids, ",") != "inner" {
+		t.Errorf("picks = %v, want [inner]", ids)
+	}
+}
+
+// flatRoot builds <r> with n entry children; every other entry has a kind,
+// every fourth a name with text t.
+func flatRoot(n int) *xmlmodel.Document {
+	root := xmlmodel.NewElement("r")
+	for i := 0; i < n; i++ {
+		e := xmlmodel.NewElement("entry", xmlmodel.NewText("name", fmt.Sprintf("t%d", i%4)))
+		if i%2 == 0 {
+			e.Children = append(e.Children, xmlmodel.NewElement("kind"))
+		}
+		root.Children = append(root.Children, e)
+	}
+	return &xmlmodel.Document{Root: root}
+}
+
+// TestEmbedAttemptsGrowLinearlyInWidth pins the evaluation's complexity by
+// counting embedding attempts rather than timing: verifying a candidate
+// tries its path conditions only along its own ancestor chain, so four
+// times the root's children cost about four times the attempts, not
+// sixteen.
+func TestEmbedAttemptsGrowLinearlyInWidth(t *testing.T) {
+	const n = 48
+	for _, tc := range []struct {
+		query string
+		picks int // at width n
+	}{
+		{`v = SELECT X WHERE <r> X:<entry/> </r>`, n},
+		{`v = SELECT X WHERE <r> X:<entry> [<kind/>] </entry> </r>`, n / 2},
+		{`v = SELECT X WHERE <r> X:<entry><name>t0</name></entry> </r>`, n / 4},
+	} {
+		q := xmas.MustParse(tc.query)
+		path, err := q.PathToPick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		embeds := func(width int) (int, int) {
+			m := newMatcher(q, path)
+			m.eval(flatRoot(width).Root)
+			return m.embeds, len(m.picks)
+		}
+		small, picks := embeds(n)
+		large, _ := embeds(4 * n)
+		if picks != tc.picks {
+			t.Errorf("%s: %d picks at width %d, want %d", tc.query, picks, n, tc.picks)
+		}
+		if growth := float64(large) / float64(small); growth > 4.5 {
+			t.Errorf("%s: %d embed attempts at width %d, %d at width %d: grew %.1fx, want at most 4.5x",
+				tc.query, small, n, large, 4*n, growth)
+		}
+	}
+}
