@@ -53,8 +53,9 @@ fault:
 		./internal/automata/... ./internal/serve/ ./internal/budget/ \
 		./internal/load/
 
-# Short, bounded runs of every fuzz target: the parsers, and the query
-# engine against its brute-force oracle. Each target gets FUZZTIME
+# Short, bounded runs of every fuzz target: the parsers, the query
+# engine against its brute-force oracle, and the Scanner-built XML parser
+# against its frozen recursive predecessor. Each target gets FUZZTIME
 # (default 10s); crashes land in testdata/fuzz as usual and should be
 # committed as regression seeds.
 FUZZTIME ?= 10s
@@ -64,6 +65,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzEvalAgreesWithReference$$' -fuzztime $(FUZZTIME) ./internal/engine/
+	go test -run '^$$' -fuzz '^FuzzParseAgreesWithOracle$$' -fuzztime $(FUZZTIME) ./internal/xmlmodel/
 
 # Everything a change should pass before review: tier-1 build/vet/test,
 # staticcheck, the benchmark module's build and vet, the -race suite, the
@@ -92,14 +94,15 @@ bench-compare:
 bench-prune:
 	go test -run '^$$' -bench BenchmarkPruneUnionQuery -benchmem ./internal/mediator | go run ./cmd/benchjson | tee BENCH_prune.json
 
-# Archive the streaming-validation and delta-maintenance benchmarks
-# (ValidateDoc: Cold = tree parse + validate, Warm = streaming validator;
-# InvalidateMix: Cold = global invalidate, Warm = per-source delta
-# invalidate) as JSON with the cold/warm speedup factors. Compare
-# BENCH_stream.json across commits — `benchjson -compare old.json
-# new.json` is the mechanical ratchet.
+# Archive the validation and delta-maintenance benchmarks as JSON:
+# FetchPath is the body work of HTTPSource.Fetch (one scan that validates
+# a ~650 KB payload and builds its tree), StoreLKG the check
+# ReplicaSet.storeLKG runs on that tree; InvalidateMix pairs Cold =
+# global invalidate with Warm = per-source delta invalidate and reports
+# the speedup. Compare BENCH_stream.json across commits — `benchjson
+# -compare old.json new.json` is the mechanical ratchet.
 bench-stream:
-	go test -run '^$$' -bench 'BenchmarkValidateDoc|BenchmarkInvalidateMix' -benchmem \
+	go test -run '^$$' -bench 'BenchmarkFetchPath|BenchmarkStoreLKG|BenchmarkInvalidateMix' -benchmem \
 		./internal/dtd ./internal/mediator | go run ./cmd/benchjson | tee BENCH_stream.json
 
 # Sustained-load SLO run (cmd/mixload): a deterministic open-loop mixed

@@ -110,15 +110,6 @@ func (d *DTD) String() string {
 	return b.String()
 }
 
-// dfa returns the compiled automaton for name's content model, backed by
-// the process-wide compiled-automata cache. Unlike the per-DTD map it
-// replaced, the shared cache is concurrency-safe, so concurrent validation
-// against the same DTD value needs no cloning; it also survives Declare
-// (keys are content models, not names).
-func (d *DTD) dfa(name string) *automata.DFA {
-	return automata.Compiled(d.Types[name].Model)
-}
-
 // ValidationError reports why an element fails Definition 2.3.
 type ValidationError struct {
 	Path string // slash path of element names from the root
@@ -145,49 +136,10 @@ func (d *DTD) Validate(doc *Document) error {
 }
 
 // ValidateElement checks the subtree rooted at e against the DTD without
-// constraining e to be the document type.
+// constraining e to be the document type. It runs the validator core
+// ValidateStream uses, over the tree in preorder.
 func (d *DTD) ValidateElement(e *Element) error {
-	return d.validate(e, "/"+e.Name)
-}
-
-func (d *DTD) validate(e *Element, path string) error {
-	t, declared := d.Types[e.Name]
-	if !declared {
-		return &ValidationError{Path: path, Msg: fmt.Sprintf("element name %s is not declared", e.Name)}
-	}
-	if t.PCDATA {
-		if !e.IsText {
-			return &ValidationError{Path: path,
-				Msg: fmt.Sprintf("%s is declared (#PCDATA) but has element content", e.Name)}
-		}
-		return nil
-	}
-	if e.IsText {
-		return &ValidationError{Path: path,
-			Msg: fmt.Sprintf("%s has character content but is declared %s", e.Name, t)}
-	}
-	word := make([]regex.Name, len(e.Children))
-	for i, k := range e.Children {
-		word[i] = regex.N(k.Name)
-	}
-	if !d.dfa(e.Name).Match(word) {
-		return &ValidationError{Path: path,
-			Msg: fmt.Sprintf("children %v do not match content model %s", wordString(word), t.Model)}
-	}
-	for i, k := range e.Children {
-		if err := d.validate(k, fmt.Sprintf("%s/%s[%d]", path, k.Name, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func wordString(w []regex.Name) string {
-	parts := make([]string, len(w))
-	for i, n := range w {
-		parts[i] = n.String()
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return d.newValidator().element(e, 0)
 }
 
 // Equivalent reports whether two DTDs describe the same document

@@ -76,6 +76,9 @@ func TestStreamTreeAgreementOnCorpora(t *testing.T) {
 			if serr := d.ValidateStream(src); serr != nil {
 				t.Errorf("%s doc %d: stream rejected what tree accepts: %v", pd.name, i, serr)
 			}
+			if got, perr := d.ParseValid(src); perr != nil || !got.Root.Equal(doc.Root) {
+				t.Errorf("%s doc %d: ParseValid = %v; tree equal to the generated one: %v", pd.name, i, perr, perr == nil && got.Root.Equal(doc.Root))
+			}
 		}
 	}
 }
@@ -105,10 +108,11 @@ func TestStreamTreeAgreementUnderMutation(t *testing.T) {
 				mut := mutate(rng, src, alphabet)
 				terr := treeVerdict(d, mut)
 				serr := d.ValidateStream(mut)
-				if (terr == nil) != (serr == nil) {
+				_, perr := d.ParseValid(mut)
+				if (terr == nil) != (serr == nil) || (perr == nil) != (serr == nil) {
 					disagreements++
 					if disagreements <= 5 {
-						t.Errorf("%s: disagreement on %.80q...: tree=%v stream=%v", pd.name, mut, terr, serr)
+						t.Errorf("%s: disagreement on %.80q...: tree=%v stream=%v one-scan=%v", pd.name, mut, terr, serr, perr)
 					}
 				}
 			}
@@ -189,11 +193,41 @@ func TestValidateStreamAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// BenchmarkValidateDocCold is the tree pipeline (parse into a tree, then
-// validate it) on a multi-hundred-KB document; BenchmarkValidateDocWarm
-// is the streaming validator on the same text. benchjson pairs them and
-// reports the speedup in BENCH_stream.json (make bench-stream).
-func BenchmarkValidateDocCold(b *testing.B) {
+// TestValidateAllocsIndependentOfSize: tree validation shares the
+// streaming core, so on the success path it allocates per call (the plan
+// memo and the frame stack), never per element — a 100× larger tree may
+// not cost more allocations.
+func TestValidateAllocsIndependentOfSize(t *testing.T) {
+	d, err := dtd.Parse(propertyDTDs[0].text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(src string) float64 {
+		doc, _, err := xmlmodel.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(doc); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := d.Validate(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallAllocs, bigAllocs := measure(largeDoc(20)), measure(largeDoc(2000))
+	if bigAllocs > smallAllocs+2 {
+		t.Errorf("Validate allocs grew with document size: %.1f at 20 entries, %.1f at 2000", smallAllocs, bigAllocs)
+	}
+}
+
+// BenchmarkFetchPath is the body work of mediator.HTTPSource.Fetch on a
+// multi-hundred-KB payload: one scan that validates the text and builds
+// its tree. BenchmarkStoreLKG is the check ReplicaSet.storeLKG runs on
+// every successful replica fetch: tree validation of that document. Both
+// are archived in BENCH_stream.json (make bench-stream).
+func BenchmarkFetchPath(b *testing.B) {
 	d, err := dtd.Parse(propertyDTDs[0].text)
 	if err != nil {
 		b.Fatal(err)
@@ -203,27 +237,27 @@ func BenchmarkValidateDocCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc, _, err := xmlmodel.Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.Validate(doc); err != nil {
+		if _, err := d.ParseValid(src); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkValidateDocWarm(b *testing.B) {
+func BenchmarkStoreLKG(b *testing.B) {
 	d, err := dtd.Parse(propertyDTDs[0].text)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := largeDoc(2000)
+	doc, _, err := xmlmodel.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.ValidateStream(src); err != nil {
+		if err := d.Validate(doc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -200,28 +200,22 @@ func (s *HTTPSource) Retries() int64 { return s.retries.Load() }
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
 // validates it against the remote-provided schema before handing it to the
-// local mediator (never trust the wire). Validation is streaming — the
-// compiled DFAs run over the payload in O(depth) memory — so an oversized
-// or invalid remote document is rejected without ever building its tree;
-// only payloads that pass are parsed into the tree the mediator
-// materializes.
+// local mediator (never trust the wire). One scan of the payload both
+// validates it, on the compiled content-model DFAs, and builds the tree
+// the mediator materializes (dtd.ParseValid); the first malformed token or
+// schema violation ends the scan.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	body, err := s.get(ctx, s.viewURL)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
-	if err := s.schema.ValidateStream(body); err != nil {
+	doc, err := s.schema.ParseValid(body)
+	if err != nil {
 		var perr *xmlmodel.ParseError
 		if errors.As(err, &perr) {
 			return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
 		}
 		return nil, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
-	}
-	doc, _, err := dtd.ParseDocument(body)
-	if err != nil {
-		// Unreachable in practice: the streaming scan accepts the same
-		// grammar the tree parser does.
-		return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
 	}
 	return doc, nil
 }

@@ -34,48 +34,115 @@ type Doctype struct {
 // by a single element. Attributes other than id are accepted and ignored
 // (lenient mode) so that realistic documents parse; mixed content — text
 // and elements interleaved under one parent — is rejected, per Section 2.
+// The tree is built from the events of one Scanner pass.
 func Parse(input string) (*Document, *Doctype, error) {
-	p := &parser{src: input}
-	p.skipProlog()
-	dt := p.doctype
-	root, err := p.parseElement()
+	return ParseWith(input, nil)
+}
+
+// ParseWith is Parse with every scanner event, EventEOF included, passed
+// to visit (when non-nil) before the tree builder applies it. An error
+// from visit ends the parse and is returned as is. It lets a consumer of
+// the event stream, such as a streaming validator, share the one scan
+// that builds the tree.
+func ParseWith(input string, visit func(Event) error) (*Document, *Doctype, error) {
+	sc := NewScanner(input)
+	root, err := sc.build(visit)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.skipMisc()
-	if !p.eof() {
-		return nil, nil, p.errf("trailing content after root element")
-	}
 	doc := &Document{Root: root}
+	dt := sc.Doctype()
 	if dt != nil {
 		doc.DocType = dt.Root
 	}
 	return doc, dt, nil
 }
 
-// ParseElement parses a single element (no prolog allowed).
+// ParseElement parses a single element: no prolog, and nothing but
+// whitespace around the element.
 func ParseElement(input string) (*Element, error) {
-	p := &parser{src: input}
-	p.skipWS()
-	e, err := p.parseElement()
-	if err != nil {
-		return nil, err
-	}
-	p.skipWS()
-	if !p.eof() {
-		return nil, p.errf("trailing content after element")
-	}
-	return e, nil
+	sc := NewScanner(input)
+	sc.bare = true
+	return sc.build(nil)
 }
 
-// maxParseDepth bounds element nesting; the parser is recursive, so
-// adversarial inputs like "<a><a><a>…" must not overflow the stack.
+// build runs the scanner to the end of the document and assembles the
+// tree from its events. Children gather on one shared stack and move into
+// an exactly sized slice when their parent closes. Text events carry only
+// the chunks that are not all whitespace, so an element's text is read
+// from the input span between its first and last chunk, comments
+// removed: whitespace between two chunks stays part of the text.
+func (s *Scanner) build(visit func(Event) error) (*Element, error) {
+	type open struct {
+		e          *Element
+		kids       int // index of the element's first child in kids
+		start, end int // span of the character data; start < 0 when none
+	}
+	var stack []open
+	var kids []*Element
+	for {
+		ev, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		if visit != nil {
+			if err := visit(ev); err != nil {
+				return nil, err
+			}
+		}
+		switch ev.Kind {
+		case EventStart:
+			e := &Element{Name: ev.Name, ID: decode(ev.ID)}
+			kids = append(kids, e)
+			stack = append(stack, open{e: e, kids: len(kids), start: -1})
+		case EventText:
+			top := &stack[len(stack)-1]
+			if top.start < 0 {
+				top.start = s.p.pos - len(ev.Text)
+			}
+			top.end = s.p.pos
+		case EventEnd:
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if n := len(kids) - top.kids; n > 0 {
+				top.e.Children = append(make([]*Element, 0, n), kids[top.kids:]...)
+				kids = kids[:top.kids]
+			}
+			if top.start >= 0 {
+				top.e.IsText = true
+				top.e.Text = strings.TrimSpace(decode(stripComments(s.p.src[top.start:top.end])))
+			}
+		case EventEOF:
+			return kids[0], nil
+		}
+	}
+}
+
+// stripComments removes the comments from a span of character data (the
+// only markup such a span can hold).
+func stripComments(s string) string {
+	i := strings.Index(s, "<!--")
+	if i < 0 {
+		return s
+	}
+	var b strings.Builder
+	for ; i >= 0; i = strings.Index(s, "<!--") {
+		b.WriteString(s[:i])
+		s = s[i+4:]
+		s = s[strings.Index(s, "-->")+3:]
+	}
+	b.WriteString(s)
+	return b.String()
+}
+
+// maxParseDepth bounds element nesting, so adversarial inputs like
+// "<a><a><a>…" cannot grow the scanner and builder stacks without bound.
 const maxParseDepth = 4096
 
+// parser is the cursor the Scanner tokenizes with.
 type parser struct {
 	src     string
 	pos     int
-	depth   int
 	doctype *Doctype
 }
 
@@ -153,7 +220,6 @@ func (p *parser) parseDoctype() {
 	root := p.readName()
 	dt := &Doctype{Root: root}
 	// Scan to the end of the declaration, capturing an internal subset.
-	depth := 0
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
 		if c == '[' {
@@ -177,11 +243,10 @@ func (p *parser) parseDoctype() {
 			p.pos = i
 			continue
 		}
-		if c == '>' && depth == 0 {
-			p.pos++
+		p.pos++
+		if c == '>' {
 			break
 		}
-		p.pos++
 	}
 	p.doctype = dt
 }
@@ -209,141 +274,11 @@ func isNameRune(r rune, first bool) bool {
 	return unicode.IsDigit(r) || r == '-' || r == '.' || r == ':'
 }
 
-func (p *parser) parseElement() (*Element, error) {
-	if p.depth >= maxParseDepth {
-		return nil, p.errf("element nesting exceeds %d levels", maxParseDepth)
-	}
-	p.depth++
-	defer func() { p.depth-- }()
-	if p.eof() || p.src[p.pos] != '<' {
-		return nil, p.errf("expected '<'")
-	}
-	p.pos++
-	name := p.readName()
-	if name == "" {
-		return nil, p.errf("expected element name")
-	}
-	e := &Element{Name: name}
-	// Attributes: only id is kept; others are accepted and dropped.
-	for {
-		p.skipWS()
-		if p.eof() {
-			return nil, p.errf("unterminated start tag <%s", name)
-		}
-		if strings.HasPrefix(p.src[p.pos:], "/>") {
-			p.pos += 2
-			return e, nil // empty-content element
-		}
-		if p.src[p.pos] == '>' {
-			p.pos++
-			break
-		}
-		attr := p.readName()
-		if attr == "" {
-			return nil, p.errf("expected attribute name in <%s>", name)
-		}
-		p.skipWS()
-		if p.eof() || p.src[p.pos] != '=' {
-			return nil, p.errf("expected '=' after attribute %s", attr)
-		}
-		p.pos++
-		p.skipWS()
-		val, err := p.readQuoted()
-		if err != nil {
-			return nil, err
-		}
-		if attr == "id" || attr == "ID" {
-			e.ID = val
-		}
-	}
-	// Content: element content or character content, never mixed.
-	var text strings.Builder
-	sawText := false
-	for {
-		if p.eof() {
-			return nil, p.errf("unterminated element <%s>", name)
-		}
-		if strings.HasPrefix(p.src[p.pos:], "<!--") {
-			end := strings.Index(p.src[p.pos+4:], "-->")
-			if end < 0 {
-				return nil, p.errf("unterminated comment")
-			}
-			p.pos += 4 + end + 3
-			continue
-		}
-		if strings.HasPrefix(p.src[p.pos:], "</") {
-			p.pos += 2
-			p.skipWS()
-			end := p.readName()
-			p.skipWS()
-			if p.eof() || p.src[p.pos] != '>' {
-				return nil, p.errf("malformed end tag for <%s>", name)
-			}
-			p.pos++
-			if end != "" && end != name {
-				return nil, p.errf("end tag </%s> does not match <%s>", end, name)
-			}
-			break
-		}
-		if p.src[p.pos] == '<' {
-			child, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			e.Children = append(e.Children, child)
-			continue
-		}
-		// Character data.
-		chunk, err := p.readText()
-		if err != nil {
-			return nil, err
-		}
-		if strings.TrimSpace(chunk) != "" {
-			sawText = true
-		}
-		text.WriteString(chunk)
-	}
-	if sawText {
-		if len(e.Children) > 0 {
-			return nil, p.errf("mixed content in <%s> is not supported by the model (Section 2)", name)
-		}
-		e.IsText = true
-		e.Text = strings.TrimSpace(text.String())
-	}
-	return e, nil
-}
-
-func (p *parser) readQuoted() (string, error) {
-	if p.eof() || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
-		return "", p.errf("expected quoted attribute value")
-	}
-	q := p.src[p.pos]
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != q {
-		p.pos++
-	}
-	if p.eof() {
-		return "", p.errf("unterminated attribute value")
-	}
-	val := p.src[start:p.pos]
-	p.pos++
-	return unescape(val)
-}
-
-func (p *parser) readText() (string, error) {
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != '<' {
-		p.pos++
-	}
-	return unescape(p.src[start:p.pos])
-}
-
 var errUnterminatedEntity = errors.New("unterminated entity reference")
 
 // entityRune decodes one entity body (the text between '&' and ';') to its
-// rune. Error messages carry no package prefix so both the tree parser and
-// the scanner can wrap them in their own error shapes.
+// rune. Error messages carry no package prefix so callers can wrap them
+// in their own error shapes.
 func entityRune(ent string) (rune, error) {
 	switch {
 	case ent == "lt":
@@ -357,24 +292,33 @@ func entityRune(ent string) (rune, error) {
 	case ent == "apos":
 		return '\'', nil
 	case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
-		n, err := strconv.ParseInt(ent[2:], 16, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad character reference &%s;", ent)
-		}
-		return rune(n), nil
+		return charRef(ent, ent[2:], 16)
 	case strings.HasPrefix(ent, "#"):
-		n, err := strconv.ParseInt(ent[1:], 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad character reference &%s;", ent)
-		}
-		return rune(n), nil
+		return charRef(ent, ent[1:], 10)
 	}
 	return 0, fmt.Errorf("unknown entity &%s; (entities are outside the model, Section 2)", ent)
 }
 
-func unescape(s string) (string, error) {
+// charRef decodes the digits of a character reference. A sign is not a
+// digit, and the code point must be an XML 1.0 Char (production [2]):
+// NUL and the other C0 controls but tab, LF and CR, surrogates, U+FFFE,
+// U+FFFF and anything past U+10FFFF are rejected, never rewritten.
+func charRef(ent, digits string, base int) (rune, error) {
+	n, err := strconv.ParseUint(digits, base, 32)
+	r := rune(n)
+	valid := r == '\t' || r == '\n' || r == '\r' ||
+		(r >= 0x20 && r <= 0xD7FF) || (r >= 0xE000 && r <= 0xFFFD) || (r >= 0x10000 && r <= 0x10FFFF)
+	if err != nil || !valid {
+		return 0, fmt.Errorf("bad character reference &%s;", ent)
+	}
+	return r, nil
+}
+
+// decode resolves the entities of character data or an attribute value
+// that the Scanner has accepted, so every entity in it is well formed.
+func decode(s string) string {
 	if !strings.Contains(s, "&") {
-		return s, nil
+		return s
 	}
 	var b strings.Builder
 	for i := 0; i < len(s); {
@@ -384,22 +328,9 @@ func unescape(s string) (string, error) {
 			continue
 		}
 		semi := strings.IndexByte(s[i:], ';')
-		if semi < 0 {
-			return "", fmt.Errorf("xmlmodel: unterminated entity reference in %q", s)
-		}
-		r, err := entityRune(s[i+1 : i+semi])
-		if err != nil {
-			return "", fmt.Errorf("xmlmodel: %v", err)
-		}
+		r, _ := entityRune(s[i+1 : i+semi])
 		b.WriteRune(r)
 		i += semi + 1
 	}
-	return b.String(), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return b.String()
 }

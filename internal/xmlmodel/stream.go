@@ -44,20 +44,21 @@ type openElem struct {
 	sawChild bool
 }
 
-// Scanner is a streaming tokenizer over the paper's XML model: the same
-// grammar Parse accepts — prolog, a single element, attributes beyond id
-// ignored, mixed content rejected (Section 2) — but delivered as a flat
-// event stream with no tree. It accepts and rejects exactly the documents
-// Parse does (error positions may differ: the scanner reports mixed
-// content at the offending token, the tree parser at the element's end),
-// which lets dtd.ValidateStream validate arbitrarily large documents
-// without materializing them.
+// Scanner is the one tokenizer of the paper's XML model — prolog, a
+// single element, attributes beyond id ignored, mixed content rejected
+// (Section 2) — delivered as a flat event stream with no tree. Parse and
+// ParseElement build their trees from its events, and dtd.ValidateStream
+// consumes them directly to validate arbitrarily large documents without
+// materializing them.
 type Scanner struct {
 	p       parser
 	stack   []openElem
 	started bool
 	done    bool
-	err     error
+	// bare is ParseElement's grammar: no prolog, and only whitespace
+	// (no comments) after the element.
+	bare bool
+	err  error
 	// pendingEnd holds the EventEnd of a self-closing element between the
 	// two Next calls that deliver it.
 	pendingEnd string
@@ -72,9 +73,6 @@ func NewScanner(input string) *Scanner {
 // Doctype returns the DOCTYPE declaration found in the prolog, available
 // after the first Next call; nil when the document has none.
 func (s *Scanner) Doctype() *Doctype { return s.p.doctype }
-
-// Depth returns the number of currently open elements.
-func (s *Scanner) Depth() int { return len(s.stack) }
 
 // Next returns the next event. After an error, every later call returns
 // the same error; after a clean end of document, every call returns
@@ -98,14 +96,24 @@ func (s *Scanner) next() (Event, error) {
 	}
 	if !s.started {
 		s.started = true
-		s.p.skipProlog()
+		if s.bare {
+			s.p.skipWS()
+		} else {
+			s.p.skipProlog()
+		}
 		return s.openTag()
 	}
 	if len(s.stack) == 0 {
 		if !s.done {
-			s.p.skipMisc()
+			msg := "trailing content after root element"
+			if s.bare {
+				s.p.skipWS()
+				msg = "trailing content after element"
+			} else {
+				s.p.skipMisc()
+			}
 			if !s.p.eof() {
-				return Event{}, s.p.errf("trailing content after root element")
+				return Event{}, s.p.errf("%s", msg)
 			}
 			s.done = true
 		}
@@ -248,8 +256,8 @@ func (s *Scanner) readQuotedRaw() (string, error) {
 
 // textHasNonSpace reports whether a raw character-data chunk contains any
 // non-whitespace content once entities are resolved, without building the
-// decoded string — the streaming equivalent of unescape + TrimSpace != "".
-// Entity syntax errors are the same conditions unescape rejects.
+// decoded string — the streaming equivalent of decode + TrimSpace != "".
+// A chunk it accepts has only well-formed entities, which decode relies on.
 func textHasNonSpace(chunk string) (bool, error) {
 	nonWS := false
 	for i := 0; i < len(chunk); {

@@ -398,3 +398,89 @@ func TestParseErrorOffsetClampedAtEOF(t *testing.T) {
 		}
 	}
 }
+
+// TestCharacterReferences: a character reference must spell an XML 1.0
+// Char in unsigned digits. Out-of-range, surrogate, NUL and signed
+// references are rejected — by Parse, ParseElement and the Scanner alike,
+// in text and in the id attribute — instead of being decoded to U+FFFD, a
+// raw NUL, or the unsigned value.
+func TestCharacterReferences(t *testing.T) {
+	cases := []struct {
+		ref  string
+		want string // decoded text; "" means rejected
+	}{
+		{"&#x110000;", ""},
+		{"&#xD800;", ""},
+		{"&#xDFFF;", ""},
+		{"&#-65;", ""},
+		{"&#x-41;", ""},
+		{"&#0;", ""},
+		{"&#x0;", ""},
+		{"&#+65;", ""},
+		{"&#x+41;", ""},
+		{"&#1;", ""},
+		{"&#xFFFE;", ""},
+		{"&#xFFFF;", ""},
+		{"&#4294967361;", ""},
+		{"&#x;", ""},
+		{"&#;", ""},
+		{"&#65;", "A"},
+		{"&#x41;", "A"},
+		{"&#X41;", "A"},
+		{"&#x0041;", "A"},
+		{"&#9;", "\t"},
+		{"&#xA;", "\n"},
+		{"&#13;", "\r"},
+		{"&#x20;", " "},
+		{"&#xD7FF;", "\uD7FF"},
+		{"&#xE000;", "\uE000"},
+		{"&#xFFFD;", "\uFFFD"},
+		{"&#x10000;", "\U00010000"},
+		{"&#x10FFFF;", "\U0010FFFF"},
+	}
+	for _, c := range cases {
+		text := "<a>x" + c.ref + "y</a>"
+		attr := `<a id="x` + c.ref + `y"/>`
+		e, err := ParseElement(text)
+		_, _, derr := Parse(text)
+		ae, aerr := ParseElement(attr)
+		_, serr := drain(t, text)
+		_, saerr := drain(t, attr)
+		if c.want == "" {
+			if err == nil || derr == nil || aerr == nil || serr == nil || saerr == nil {
+				t.Errorf("%s accepted (ParseElement %v, Parse %v, id %v, Scanner %v, Scanner id %v)",
+					c.ref, err, derr, aerr, serr, saerr)
+			}
+			continue
+		}
+		if err != nil || derr != nil || aerr != nil || serr != nil || saerr != nil {
+			t.Errorf("%s rejected: %v %v %v %v %v", c.ref, err, derr, aerr, serr, saerr)
+			continue
+		}
+		if want := "x" + c.want + "y"; e.Text != want || ae.ID != want {
+			t.Errorf("%s: text %q, id %q, want %q", c.ref, e.Text, ae.ID, want)
+		}
+	}
+}
+
+// TestTextKeepsWhitespaceBetweenComments: the text of an element is its
+// character data with comments removed, so whitespace standing between
+// two comments inside the text is kept.
+func TestTextKeepsWhitespaceBetweenComments(t *testing.T) {
+	for src, want := range map[string]string{
+		`<a>x<!--c-->   <!--d-->y</a>`:       "x   y",
+		`<a> x <!--c-->&#32;<!--d--> y </a>`: "x   y",
+		`<a><!--c-->x<!--d--></a>`:           "x",
+		`<a>&lt;<!-- <b/> -->&gt;</a>`:       "<>",
+		"<a>\n  x\n  <!--c-->\n  y\n</a>":    "x\n  \n  y",
+		`<a id="i">x</a>`:                    "x",
+	} {
+		e, err := ParseElement(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if !e.IsText || e.Text != want {
+			t.Errorf("%q: text %q (IsText %v), want %q", src, e.Text, e.IsText, want)
+		}
+	}
+}
